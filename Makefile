@@ -12,7 +12,7 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test race vet fmt-check bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
@@ -89,7 +89,12 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzRingPlacement -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzTopologyTransition -fuzztime $(FUZZTIME) ./internal/cluster
 
-vet:
+# Formatting gate: every tracked Go file must be gofmt-clean. vet runs it
+# first, so `make race` catches formatting drift too.
+fmt-check:
+	@test -z "$$(gofmt -l $$(git ls-files '*.go'))" || { echo "FAIL: gofmt -l lists:"; gofmt -l $$(git ls-files '*.go'); exit 1; }
+
+vet: fmt-check
 	$(GO) vet ./...
 
 bench:
@@ -100,13 +105,21 @@ bench:
 # (see BENCH_PR4.json for recorded before/after numbers). Any regression —
 # a scratch buffer that stops being reused, a closure that starts
 # escaping — fails the build here rather than showing up as GC pressure
-# in production sweeps.
+# in production sweeps. The agent's ingest hop is gated too: a steady-state
+# WireSink.Consume (1,800 struct-literal readings over a v2 client) at 0
+# allocs/op, and the server's ConnDict.DecodeRefBatch at <= 2 (the
+# caller-owned records and sample slab).
 bench-allocs:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep' -benchmem -benchtime 50x ./internal/timeseries; \
-	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend' -benchmem -benchtime 1000x ./internal/wire); \
+	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend|BenchmarkDecodeRefBatch' -benchmem -benchtime 1000x ./internal/wire; \
+	        $(GO) test -run xxx -bench 'BenchmarkWireSinkConsume' -benchmem -benchtime 1000x ./internal/collector); \
 	echo "$$out"; \
-	echo "$$out" | awk '/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
-		END { if (bad) exit 1; print "OK: streaming paths within 0 allocs/op budget" }'
+	echo "$$out" | awk ' \
+		/^BenchmarkDecodeRefBatch/ { seen++; if ($$(NF-1)+0 > 2) { printf "FAIL: %s allocates %s allocs/op (budget 2)\n", $$1, $$(NF-1); bad=1 } next } \
+		/^BenchmarkWireSinkConsume/ { seen++ } \
+		/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
+		END { if (seen != 2) { print "FAIL: ingest-hop benchmarks missing from output"; bad=1 } \
+			if (bad) exit 1; print "OK: streaming paths within 0 allocs/op, DecodeRefBatch within 2" }'
 
 # Rollup-tier planner gate for the PR 6 long-window workload: the planned
 # 30-day/1h-step aggregation must beat the raw scan by >= 50x, and the

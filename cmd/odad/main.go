@@ -51,10 +51,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -224,20 +226,29 @@ func main() {
 		}
 	}
 	var latest atomic.Int64
+	// Every append path copies what it keeps before returning, so one
+	// entries buffer per concurrent connection serves every batch.
+	entryPool := sync.Pool{New: func() any { return new([]timeseries.BatchEntry) }}
 
 	srv, err := wire.NewServer(*listen, func(b *wire.Batch) {
-		var entries []timeseries.BatchEntry
-		for _, rec := range b.Records {
+		buf := entryPool.Get().(*[]timeseries.BatchEntry)
+		defer entryPool.Put(buf)
+		entries := (*buf)[:0]
+		maxT := int64(math.MinInt64)
+		for i := range b.Records {
+			rec := &b.Records[i]
 			for _, sm := range rec.Samples {
 				entries = append(entries, timeseries.BatchEntry{
 					ID: rec.ID, Kind: rec.Kind, Unit: rec.Unit, T: sm.T, V: sm.V,
 				})
-				for {
-					cur := latest.Load()
-					if sm.T <= cur || latest.CompareAndSwap(cur, sm.T) {
-						break
-					}
-				}
+				maxT = max(maxT, sm.T)
+			}
+		}
+		*buf = entries
+		for {
+			cur := latest.Load()
+			if maxT <= cur || latest.CompareAndSwap(cur, maxT) {
+				break
 			}
 		}
 		// Ingest errors (out-of-order duplicates from agent restarts) are

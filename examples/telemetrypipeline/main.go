@@ -51,6 +51,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Speak wire protocol v2: each series is defined once per
+		// connection, then shipped as ref + delta-t + value records.
+		client.EnableDict()
 		clients = append(clients, client)
 		agent := collector.NewAgent("agent-"+node.Name(), time.Second)
 		agent.AddSource(node.Source())

@@ -170,9 +170,9 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 	}
 
 	const ticks = 36
-	killAt := 8 + rng.Intn(6)           // 8..13
-	healAt := killAt + 6 + rng.Intn(6)  // killAt+6 .. killAt+11
-	probeAt := killAt + 2               // degraded read inside the window
+	killAt := 8 + rng.Intn(6)          // 8..13
+	healAt := killAt + 6 + rng.Intn(6) // killAt+6 .. killAt+11
+	probeAt := killAt + 2              // degraded read inside the window
 	coord := nodes[coordinator].router
 
 	emitted := 0

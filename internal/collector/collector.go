@@ -231,6 +231,14 @@ func (s *BusSink) Consume(_ string, now int64, readings []Reading) error {
 // aggregation endpoint costs bounded time per batch instead of stalling
 // forever — combine with a queued registration (AddSinkQueued) to keep
 // even that bounded latency off the scrape path.
+//
+// The steady-state Consume allocates nothing. The sink reuses one
+// wire.Batch and one sample slab across calls (Client.Send encodes
+// synchronously and keeps neither), and it keeps a positional cache of
+// interned IDs like StoreSink's ref cache: slot i is validated against
+// reading i by name and labels, so a source that builds struct-literal
+// IDs does not pay a key serialization per reading per round when the
+// client's dictionary looks the series up.
 type WireSink struct {
 	Client *wire.Client
 	// MaxRetries is how many times a failed send is retried before the
@@ -246,6 +254,11 @@ type WireSink struct {
 	SendDeadline time.Duration
 
 	retries atomic.Uint64
+
+	mu    sync.Mutex
+	ids   []metric.ID // positional interned-ID cache
+	batch wire.Batch
+	slab  []metric.Sample
 }
 
 // maxRetryBackoff caps the exponential growth so a long retry chain never
@@ -277,15 +290,9 @@ func (s *WireSink) Retries() uint64 { return s.retries.Load() }
 
 // Consume implements Sink.
 func (s *WireSink) Consume(agent string, now int64, readings []Reading) error {
-	b := &wire.Batch{Agent: agent, Records: make([]wire.Record, 0, len(readings))}
-	for _, r := range readings {
-		b.Records = append(b.Records, wire.Record{
-			ID:      r.ID,
-			Kind:    r.Kind,
-			Unit:    r.Unit,
-			Samples: []metric.Sample{{T: now, V: r.Value}},
-		})
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.fill(agent, now, readings)
 	if s.SendDeadline > 0 {
 		s.Client.SetTimeout(s.SendDeadline)
 	}
@@ -301,6 +308,33 @@ func (s *WireSink) Consume(agent string, now int64, readings []Reading) error {
 		s.retries.Add(1)
 		time.Sleep(retryDelay(attempt, base, rand.Int63n))
 	}
+}
+
+// fill rebuilds the reused batch for one round; s.mu is held.
+func (s *WireSink) fill(agent string, now int64, readings []Reading) *wire.Batch {
+	n := len(readings)
+	if cap(s.slab) < n {
+		s.slab = make([]metric.Sample, n)
+		s.batch.Records = make([]wire.Record, n)
+	}
+	for len(s.ids) < n {
+		s.ids = append(s.ids, metric.ID{})
+	}
+	s.batch.Agent = agent
+	s.batch.Records = s.batch.Records[:n]
+	s.slab = s.slab[:n]
+	for i := range readings {
+		r := &readings[i]
+		id := &s.ids[i]
+		if id.Name != r.ID.Name || !id.Labels.Equal(r.ID.Labels) {
+			// Own the labels: the cached key must not follow a source
+			// that later rewrites its label slice in place.
+			*id = metric.NewID(r.ID.Name, append(metric.Labels(nil), r.ID.Labels...))
+		}
+		s.slab[i] = metric.Sample{T: now, V: r.Value}
+		s.batch.Records[i] = wire.Record{ID: *id, Kind: r.Kind, Unit: r.Unit, Samples: s.slab[i : i+1 : i+1]}
+	}
+	return &s.batch
 }
 
 // Agent samples a set of sources and fans readings out to sinks.

@@ -219,8 +219,8 @@ func (RootCause) Meta() oda.Meta {
 	return oda.Meta{
 		Name:        "root-cause",
 		Description: "correlation-ranked root-cause analysis for node anomalies",
-		Cells: []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
-		Refs:  []string{"[9]"},
+		Cells:       []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
+		Refs:        []string{"[9]"},
 		Reads: []oda.Resource{
 			oda.StoreResource("node_"),
 			oda.StoreResource("facility_supply_temp"),
@@ -300,9 +300,9 @@ func (NetContention) Meta() oda.Meta {
 	return oda.Meta{
 		Name:        "net-contention",
 		Description: "network contention diagnosis from uplink telemetry and placements",
-		Cells: []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
-		Refs:  []string{"[19]", "[55]"},
-		Reads: []oda.Resource{oda.StoreResource("net_uplink"), oda.ResJobQueue},
+		Cells:       []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
+		Refs:        []string{"[19]", "[55]"},
+		Reads:       []oda.Resource{oda.StoreResource("net_uplink"), oda.ResJobQueue},
 	}
 }
 

@@ -79,9 +79,9 @@ func (FailurePostmortem) Meta() oda.Meta {
 	return oda.Meta{
 		Name:        "failure-postmortem",
 		Description: "correlate node failures in the event log with thermal precursors",
-		Cells: []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
-		Refs:  []string{"[9]", "[14]"},
-		Reads: []oda.Resource{oda.ResEvents, oda.StoreResource("node_cpu_temp")},
+		Cells:       []oda.Cell{cell(oda.SystemHardware, oda.Diagnostic)},
+		Refs:        []string{"[9]", "[14]"},
+		Reads:       []oda.Resource{oda.ResEvents, oda.StoreResource("node_cpu_temp")},
 	}
 }
 

@@ -29,7 +29,7 @@ func (StressTest) Meta() oda.Meta {
 		Name:        "stress-test",
 		Description: "active load probe verifying cooling-plant responsiveness",
 		Cells:       []oda.Cell{cell(oda.BuildingInfrastructure, oda.Diagnostic)},
-		Refs: []string{"[39]"},
+		Refs:        []string{"[39]"},
 		// The probe injects load and advances the whole simulation clock
 		// (dc.RunFor), so it owns the entire system for its run.
 		Writes: []oda.Resource{oda.ResWildcard},

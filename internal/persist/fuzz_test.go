@@ -29,8 +29,8 @@ func FuzzWALReplay(f *testing.F) {
 		return buf
 	}
 	// Seeds mirror the committed corpus in testdata/fuzz/FuzzWALReplay.
-	f.Add([]byte{})               // empty segment
-	f.Add([]byte(segMagic))       // magic only
+	f.Add([]byte{})                      // empty segment
+	f.Add([]byte(segMagic))              // magic only
 	f.Add([]byte(segMagic + "\x00\x00")) // truncated length prefix
 	badCRC := frame(encodeRetain(nil, 42))
 	badCRC[len(segMagic)+4] ^= 0xFF
@@ -41,8 +41,8 @@ func FuzzWALReplay(f *testing.F) {
 		encodeAppend(nil, []timeseries.BatchEntry{{ID: metric.ID{Name: "temp"}, Kind: metric.Gauge, Unit: metric.UnitCelsius, T: 1000, V: 21.5}}),
 	)) // valid multi-record segment
 	defV2, appV2, undefV2, reboundV2 := walRefSeedPayloads()
-	f.Add(frame(defV2, appV2))           // valid v2: define + ref append
-	f.Add(frame(undefV2))                // ref append with no define: refs skipped
+	f.Add(frame(defV2, appV2))            // valid v2: define + ref append
+	f.Add(frame(undefV2))                 // ref append with no define: refs skipped
 	f.Add(frame(defV2, reboundV2, appV2)) // same WAL ref rebound to a second series
 	truncated := frame(defV2)
 	f.Add(truncated[:len(truncated)-3]) // tear inside a define record

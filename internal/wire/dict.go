@@ -54,7 +54,21 @@ type dictDef struct {
 // for concurrent use; frames on one connection are handled sequentially.
 type ConnDict struct {
 	defs map[uint64]dictDef
+
+	// agent is the agent name of the last ref batch: one connection
+	// carries one agent, so its batches share the string instead of
+	// copying it out of every payload.
+	agent string
+	// hdrs is a block of Batch headers not yet handed out. Each header
+	// goes to exactly one caller and is never reused; carving them from a
+	// block spreads one allocation over batchHeaderBlock batches.
+	hdrs []Batch
 }
+
+// batchHeaderBlock is how many Batch headers DecodeRefBatch allocates at
+// once. A caller that keeps one decoded batch also keeps the other batches
+// of its block reachable, so the block stays small.
+const batchHeaderBlock = 16
 
 // NewConnDict returns an empty per-connection dictionary.
 func NewConnDict() *ConnDict { return &ConnDict{defs: make(map[uint64]dictDef)} }
@@ -129,22 +143,40 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 
 // DecodeRefBatch parses a FrameRefBatch payload against the dictionary,
 // returning a Batch identical to what a v1 FrameBatch for the same samples
-// would decode to (record IDs come from the dictionary definitions).
+// would decode to (record IDs come from the dictionary definitions). The
+// batch is the caller's: it shares nothing mutable with the payload, the
+// dictionary or any other decoded batch. Every record's samples are sliced
+// from one slab, so a decode costs two allocations (records and slab) plus
+// a share of a header block, however many records the batch carries.
 func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 	p := &payloadReader{buf: payload}
-	agent, err := p.str()
+	n, err := p.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(payload)-p.pos) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	// Comparing against the bytes does not allocate; only a new agent
+	// name is copied out of the payload.
+	if raw := payload[p.pos : p.pos+int(n)]; string(raw) != d.agent {
+		d.agent = string(raw)
+	}
+	p.pos += int(n)
 	nrec, err := p.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nrec > uint64(len(payload)) {
+	// Every record needs at least a ref byte and a count byte.
+	if nrec > uint64(len(payload)-p.pos)/2 {
 		return nil, fmt.Errorf("wire: implausible record count %d", nrec)
 	}
-	b := &Batch{Agent: agent, Records: make([]Record, 0, nrec)}
-	for ri := uint64(0); ri < nrec; ri++ {
+	recs := make([]Record, nrec)
+	// Sized for the collector's one sample per record. A batch with more
+	// grows the slab; records sliced before the growth keep the old
+	// backing array, whose elements are never written again.
+	slab := make([]metric.Sample, 0, nrec)
+	for ri := range recs {
 		ref, err := p.uvarint()
 		if err != nil {
 			return nil, err
@@ -153,7 +185,6 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: ref %d", ErrUnknownRef, ref)
 		}
-		r := Record{ID: def.id, Kind: def.kind, Unit: def.unit}
 		nsm, err := p.uvarint()
 		if err != nil {
 			return nil, err
@@ -161,9 +192,8 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 		if nsm > uint64(len(payload)) {
 			return nil, fmt.Errorf("wire: implausible sample count %d", nsm)
 		}
-		if nsm > 0 {
-			r.Samples = make([]metric.Sample, 0, nsm)
-		}
+		r := Record{ID: def.id, Kind: def.kind, Unit: def.unit}
+		start := len(slab)
 		var prevT int64
 		for si := uint64(0); si < nsm; si++ {
 			dt, err := p.varint()
@@ -179,13 +209,22 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.Samples = append(r.Samples, metric.Sample{T: t, V: v})
+			slab = append(slab, metric.Sample{T: t, V: v})
 		}
-		b.Records = append(b.Records, r)
+		if nsm > 0 {
+			r.Samples = slab[start:len(slab):len(slab)]
+		}
+		recs[ri] = r
 	}
 	if p.pos != len(payload) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after ref batch", len(payload)-p.pos)
 	}
+	if len(d.hdrs) == 0 {
+		d.hdrs = make([]Batch, batchHeaderBlock)
+	}
+	b := &d.hdrs[0]
+	d.hdrs = d.hdrs[1:]
+	*b = Batch{Agent: d.agent, Records: recs}
 	return b, nil
 }
 
@@ -203,15 +242,15 @@ func appendDef(dst []byte, ref uint64, r *Record) []byte {
 	return dst
 }
 
-// appendRefBatch serializes a FrameRefBatch payload for b, with every
-// record's ref already present in refs (keyed by ID.Key()).
-func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
+// appendRefBatch serializes a FrameRefBatch payload for b, where refs[i]
+// is the dictionary ref of b.Records[i].
+func appendRefBatch(dst []byte, b *Batch, refs []uint64) []byte {
 	out := dst
 	out = appendString(out, b.Agent)
 	out = appendUvarint(out, uint64(len(b.Records)))
 	for i := range b.Records {
 		r := &b.Records[i]
-		out = appendUvarint(out, refs[r.ID.Key()])
+		out = appendUvarint(out, refs[i])
 		out = appendUvarint(out, uint64(len(r.Samples)))
 		var prevT int64
 		for si, sm := range r.Samples {
@@ -232,31 +271,37 @@ func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
 // clientDict is the send side of the v2 dictionary: per-connection ref
 // assignments plus reused encode scratch, reset on redial.
 type clientDict struct {
-	refs map[string]uint64
-	next uint64
-	body []byte // definition-body scratch (defs minus the count prefix)
-	defs []byte // FrameDict payload scratch
-	recs []byte // FrameRefBatch payload scratch
+	refs    map[string]uint64
+	next    uint64
+	body    []byte   // definition-body scratch (defs minus the count prefix)
+	defs    []byte   // FrameDict payload scratch
+	recs    []byte   // FrameRefBatch payload scratch
+	recRefs []uint64 // per-record ref scratch, one map lookup per record
 }
 
 func newClientDict() *clientDict { return &clientDict{refs: make(map[string]uint64)} }
 
 // sendDict encodes b as (optional) dictionary definitions plus a ref
 // batch on bw, coalescing both frames into one flush. Steady state — all
-// series already defined on this connection — allocates nothing.
+// series already defined on this connection — allocates nothing, provided
+// the record IDs carry their interned key (metric.NewID / ID.Interned);
+// a struct-literal ID serializes its key on every send.
 func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 	ndefs := 0
 	d.body = d.body[:0]
+	d.recRefs = d.recRefs[:0]
 	for i := range b.Records {
 		r := &b.Records[i]
 		key := r.ID.Key()
-		if _, ok := d.refs[key]; ok {
-			continue // already defined (possibly earlier in this batch)
+		ref, ok := d.refs[key]
+		if !ok { // first use on this connection
+			d.next++
+			ref = d.next
+			d.refs[key] = ref
+			d.body = appendDef(d.body, ref, r)
+			ndefs++
 		}
-		d.next++
-		d.refs[key] = d.next
-		d.body = appendDef(d.body, d.next, r)
-		ndefs++
+		d.recRefs = append(d.recRefs, ref)
 	}
 	if ndefs > 0 {
 		d.defs = appendUvarint(d.defs[:0], uint64(ndefs))
@@ -265,7 +310,7 @@ func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 			return err
 		}
 	}
-	d.recs = appendRefBatch(d.recs[:0], b, d.refs)
+	d.recs = appendRefBatch(d.recs[:0], b, d.recRefs)
 	if err := bw.writeFrame(Version2, FrameRefBatch, d.recs); err != nil {
 		return err
 	}

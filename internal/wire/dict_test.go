@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -162,7 +164,7 @@ func TestConnDictProtocolErrors(t *testing.T) {
 	})
 	t.Run("undefined-ref", func(t *testing.T) {
 		cd := NewConnDict()
-		payload := appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{*rec}}, map[string]uint64{rec.ID.Key(): 99})
+		payload := appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{*rec}}, []uint64{99})
 		if _, err := cd.DecodeRefBatch(payload); !errors.Is(err, ErrUnknownRef) {
 			t.Fatalf("want ErrUnknownRef, got %v", err)
 		}
@@ -314,5 +316,91 @@ func TestV1ClientStillWorks(t *testing.T) {
 	defer mu.Unlock()
 	if !batchesEqual(in, got[0]) {
 		t.Fatal("v1 batch changed in transit")
+	}
+}
+
+// TestServerFrameBufferCallerOwnedBatches pins the handler contract the
+// server's reused per-connection frame buffer must keep: a handler may keep
+// every *Batch it is given, and each one stays exactly as decoded while
+// later dictionary, ref-batch, v1-batch and ping frames are read into the
+// same buffer on the same connection. A ping that follows a large ref
+// batch must still echo its own nonce, not bytes left from the batch.
+func TestServerFrameBufferCallerOwnedBatches(t *testing.T) {
+	var mu sync.Mutex
+	var got []*Batch
+	srv, err := NewServer("127.0.0.1:0", func(b *Batch) {
+		mu.Lock()
+		got = append(got, b)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	bw := NewBatchWriter(conn)
+	d := newClientDict()
+	var nonce uint64
+	ping := func() {
+		t.Helper()
+		nonce++
+		var want [8]byte
+		binary.BigEndian.PutUint64(want[:], nonce)
+		if err := WriteFrame(conn, FramePing, want[:]); err != nil {
+			t.Fatal(err)
+		}
+		ft, echo, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != FramePong || !bytes.Equal(echo, want[:]) {
+			t.Fatalf("ping %d: got frame %d echo %x, want pong %x", nonce, ft, echo, want)
+		}
+	}
+
+	big := scrapeBatch("agent-a", 4000, 1_000)
+	small := scrapeBatch("agent-b", 3, 2_000)
+	v1 := sampleBatch()
+	// A later ref batch that defines new series and reuses old ones under
+	// another agent name, so the dictionary, the agent name and the buffer
+	// all change underneath the batches already handed out.
+	mixed := scrapeBatch("agent-c", 4100, 3_000)
+	var sent []*Batch
+	send := func(b *Batch, v2 bool) {
+		t.Helper()
+		if v2 {
+			if err := d.sendDict(bw, b); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := bw.Send(b); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, b)
+	}
+	send(big, true)
+	ping()
+	send(small, true)
+	send(v1, false)
+	ping()
+	send(mixed, true)
+	send(big, true)
+	ping()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(sent) {
+		t.Fatalf("handler kept %d batches, want %d", len(got), len(sent))
+	}
+	for i, b := range sent {
+		if !batchesEqual(b, got[i]) {
+			t.Fatalf("kept batch %d changed after later frames on the connection", i)
+		}
 	}
 }

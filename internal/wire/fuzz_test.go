@@ -100,13 +100,11 @@ func dictFuzzSeeds() (defs, batch, dupDefs, undefBatch []byte) {
 	defs = appendUvarint(nil, 2)
 	defs = appendDef(defs, 1, &rec1)
 	defs = appendDef(defs, 2, &rec2)
-	refs := map[string]uint64{rec1.ID.Key(): 1, rec2.ID.Key(): 2}
-	batch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
+	batch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, []uint64{1, 2})
 	dupDefs = appendUvarint(nil, 2)
 	dupDefs = appendDef(dupDefs, 1, &rec1)
 	dupDefs = appendDef(dupDefs, 1, &rec2) // same ref twice: protocol error
-	undefBatch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},
-		map[string]uint64{rec1.ID.Key(): 99})
+	undefBatch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}}, []uint64{99})
 	return
 }
 

@@ -96,16 +96,21 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serveConn reads the connection's frames into one payload buffer reused
+// for the connection's life. That is safe because nothing outlives the
+// frame it came from: AddDefs and both decoders copy every string and
+// value out of the payload, and a ping's echo is written before the next
+// read. The handler gets a freshly decoded Batch it owns and may keep.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	fr := frameReader{r: bufio.NewReader(conn)}
 	// The v2 series dictionary is per connection, allocated on first use so
 	// v1-only agents pay nothing. It dies with the connection: a redialing
 	// client starts a fresh dictionary and re-defines series as it goes.
 	var dict *ConnDict
 	for {
-		ft, payload, err := ReadFrame(r)
+		ft, payload, err := fr.next()
 		if err == nil && ft == FramePing {
 			// Answer liveness probes inline: the pong is the only
 			// server-to-client traffic, and this goroutine is the only
@@ -149,9 +154,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.batches.Add(1)
-		for _, rec := range b.Records {
-			s.samples.Add(uint64(len(rec.Samples)))
+		var n uint64
+		for i := range b.Records {
+			n += uint64(len(b.Records[i].Samples))
 		}
+		s.samples.Add(n)
 		if s.handler != nil {
 			s.handler(b)
 		}

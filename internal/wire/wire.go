@@ -315,12 +315,33 @@ func versionFor(frameType uint8) uint8 {
 }
 
 // ReadFrame reads one framed payload from r, validating magic, version,
-// size bound and checksum.
+// size bound and checksum. The payload is freshly allocated and owned by
+// the caller.
 func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+// maxKeptPayload bounds the payload buffer a frameReader keeps between
+// frames: a connection that once carried a large dictionary or snapshot
+// frame does not pin that much memory for the rest of its life.
+const maxKeptPayload = 1 << 20
+
+// frameReader reads frames from one stream into a payload buffer it reuses
+// from frame to frame. A payload it returns is valid only until the next
+// call to next, so a caller must copy out (or finish with) every byte it
+// keeps before reading on.
+type frameReader struct {
+	r   io.Reader
+	hdr [headerLen]byte
+	buf []byte
+}
+
+func (fr *frameReader) next() (frameType uint8, payload []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
+	hdr := &fr.hdr
 	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
 		return 0, nil, ErrBadMagic
 	}
@@ -332,8 +353,15 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	if length > MaxPayload {
 		return 0, nil, ErrTooLarge
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(fr.buf)) >= length {
+		payload = fr.buf[:length]
+	} else {
+		payload = make([]byte, length)
+		if length <= maxKeptPayload {
+			fr.buf = payload
+		}
+	}
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[8:12]) {
